@@ -8,15 +8,22 @@
 //	dreamsim -nodes 100 -tasks 10000 -compare
 //	dreamsim -tasks 2000 -partial -xml report.xml
 //	dreamsim -tasks 2000 -trace workload.trace -partial
+//	dreamsim -nodes 100 -tasks 20000 -compare -cpuprofile cpu.out
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 
 	"dreamsim"
 )
+
+// onExit flushes the profiles; fail calls it because os.Exit skips
+// deferred calls.
+var onExit = func() {}
 
 func main() {
 	var (
@@ -57,8 +64,35 @@ func main() {
 		faultRetries    = flag.Int64("fault-retries", 0, "crash displacements a task survives before being lost (0 = default 3)")
 		faultBackoff    = flag.Int64("fault-backoff", 0, "first retry backoff in timeticks, doubling per displacement (0 = default 16)")
 		faultBackoffCap = flag.Int64("fault-backoff-cap", 0, "retry backoff ceiling in timeticks (0 = default 4096)")
+
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		fail(err)
+		fail(pprof.StartCPUProfile(f))
+	}
+	onExit = func() {
+		if *cpuProfile != "" {
+			pprof.StopCPUProfile()
+		}
+		if *memProfile != "" {
+			f, err := os.Create(*memProfile)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "dreamsim:", err)
+				return
+			}
+			runtime.GC()
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintln(os.Stderr, "dreamsim:", err)
+			}
+			f.Close()
+		}
+	}
+	defer onExit()
 
 	p := dreamsim.DefaultParams()
 	p.Nodes = *nodes
@@ -181,6 +215,7 @@ func printPhases(label string, r dreamsim.Result) {
 func fail(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dreamsim:", err)
+		onExit()
 		os.Exit(1)
 	}
 }

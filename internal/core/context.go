@@ -2,6 +2,7 @@ package core
 
 import (
 	"dreamsim/internal/model"
+	"dreamsim/internal/reslists"
 	"dreamsim/internal/sched"
 	"dreamsim/internal/sim"
 )
@@ -60,6 +61,10 @@ type RunContext struct {
 	usedCount int
 	phases    [phaseCount]int64
 	idle      []bool // summarize scratch, config no -> idle region present
+
+	// sus is the suspension queue, kept here so its element storage
+	// survives across runs.
+	sus reslists.SusQueue
 
 	// Dependency bookkeeping (task-graph workloads), indexed by task
 	// number; zero-length on runs without Deps.

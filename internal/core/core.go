@@ -173,6 +173,7 @@ type Simulator struct {
 	source  workload.TaskSource
 	recycle workload.Recycler // non-nil only in streaming mode (Params.Stream)
 	sus     *reslists.SusQueue
+	offer   reslists.Offer // retrySuspended's digest of the freed node
 	c       *metrics.Counters
 	// policyRNG is the RandomFit placement stream when the core built
 	// the policy itself (nil otherwise); stashed so a checkpoint can
@@ -311,7 +312,7 @@ func New(params Params) (*Simulator, error) {
 		//lint:rngflow the checkpoint must capture the very stream the policy consumes; a Split substream would diverge from it
 		policyRNG: policyRNG,
 		source:    source,
-		sus:       reslists.NewSusQueue(),
+		sus:       &ctx.sus,
 		c:         counters,
 	}
 	if params.Stream && params.OnEvent == nil {
@@ -328,6 +329,7 @@ func New(params Params) (*Simulator, error) {
 			s.classAcc = make([]metrics.ClassCounters, len(names))
 		}
 	}
+	s.sus.Reset(mgr.Configs(), params.MaxSusRetries)
 	s.bindHandlers()
 	if len(params.Deps) > 0 {
 		s.depsOn = true
@@ -943,100 +945,92 @@ func (s *Simulator) lose(task *model.Task, now int64) {
 	s.release(task)
 }
 
-// nodeSummary is an O(1)-queryable digest of what a freed node can
-// offer the suspension queue: which configurations have an idle
-// region, how much unconfigured fabric is free, and how much area is
-// reclaimable by evicting idle regions. Full-configuration nodes
-// offer only the direct match — their fabric cannot be rewritten
-// piecewise while the retry considers them (see Policy.DecideOnNode).
-type nodeSummary struct {
-	idle    []bool // indexed by configuration number
-	free    model.Area
-	reclaim model.Area
-}
-
-// summarize digests node; the entry walk is housekeeping work. The
-// idle digest lives in the run context with an explicit grow-and-clear
-// so a donated context whose previous run had a different
-// configuration count can never leak stale bits (the old lazy sizing
-// allocated once and never re-validated).
-func (s *Simulator) summarize(node *model.Node) nodeSummary {
+// summarize digests what node can offer the suspension queue; the
+// entry walk is housekeeping work. Full-configuration nodes offer only
+// the direct match — their fabric cannot be rewritten piecewise while
+// the retry considers them (see Policy.DecideOnNode). The idle digest
+// lives in the run context with an explicit grow-and-clear so a
+// donated context whose previous run had a different configuration
+// count can never leak stale bits (the old lazy sizing allocated once
+// and never re-validated).
+func (s *Simulator) summarize(node *model.Node) reslists.Offer {
 	s.ctx.idle = growClear(s.ctx.idle, len(s.mgr.Configs()))
-	sum := nodeSummary{idle: s.ctx.idle}
+	sum := reslists.Offer{Idle: s.ctx.idle}
 	var steps uint64
 	busy := false
 	for _, e := range node.Entries {
 		steps++
 		if e.Idle() {
-			if e.Config.No < len(sum.idle) {
-				sum.idle[e.Config.No] = true
+			if e.Config.No < len(sum.Idle) {
+				sum.Idle[e.Config.No] = true
 			}
-			sum.reclaim += e.Config.ReqArea
+			sum.Reclaim += e.Config.ReqArea
 		} else {
 			busy = true
 		}
 	}
 	s.mgr.ChargeHousekeeping(steps)
 	if node.PartialMode {
-		sum.free = node.AvailableArea
-		sum.reclaim += node.AvailableArea
+		sum.Free = node.AvailableArea
+		sum.Reclaim += node.AvailableArea
 	} else {
-		sum.reclaim = 0 // full mode: retry never rewrites the node
+		sum.Reclaim = 0 // full mode: retry never rewrites the node
 		if busy {
-			for i := range sum.idle {
-				sum.idle[i] = false // resident region unusable
+			for i := range sum.Idle {
+				sum.Idle[i] = false // resident region unusable
 			}
 		}
 		if node.Blank() {
 			// A blank full-mode node (only reachable via crash
 			// recovery) can take any fresh configuration that fits.
-			sum.free = node.AvailableArea
+			sum.Free = node.AvailableArea
 		}
 	}
 	return sum
 }
 
-// fits reports whether a task needing cfg could possibly land on the
-// summarised node.
-func (sum nodeSummary) fits(cfg *model.Config) bool {
-	if cfg.No < len(sum.idle) && sum.idle[cfg.No] {
-		return true
-	}
-	return cfg.ReqArea <= sum.free || cfg.ReqArea <= sum.reclaim
-}
-
-// retrySuspended walks the suspension queue in FIFO order after node
-// released resources (the paper's RemoveTaskFromSusQueue flow),
-// placing every queued task the node can still host. Each explored
-// queue link is one scheduler search step (the Table I "search links
-// explored" unit); the policy is consulted only for tasks the digest
-// says could fit, so a miss costs exactly one step.
+// retrySuspended offers node, which just released resources, to the
+// suspension queue (the paper's RemoveTaskFromSusQueue flow), placing
+// every queued task the node can still host in FIFO order. The paper
+// examines every queued task: each explored queue link is one
+// scheduler search step (the Table I "search links explored" unit)
+// and one SusRetry, and the policy is consulted only for tasks the
+// node's offer says could fit. The queue's retry walk yields just the
+// tasks of that examination that can act — offered configurations,
+// unresolved tasks, expiries — and computes the link count, so the
+// cost follows the placements, not the queue length. A placement
+// shrinks the offer, which is re-summarised exactly as the full
+// examination does.
+//
+//dreamsim:noalloc
 func (s *Simulator) retrySuspended(node *model.Node, now int64) {
 	if s.sus.Len() == 0 {
 		return
 	}
-	sum := s.summarize(node)
-	steps := s.sus.Each(func(qt *model.Task) bool {
-		if s.err != nil {
-			return false
+	s.offer = s.summarize(node)
+	s.sus.BeginRetry(&s.offer)
+	for s.err == nil {
+		qt, expired := s.sus.Next()
+		if qt == nil {
+			break
 		}
-		if s.params.MaxSusRetries > 0 && qt.SusRetry > s.params.MaxSusRetries {
+		if expired {
 			s.sus.Remove(qt)
 			s.discard(qt, now)
-			return true
+			continue
 		}
-		if qt.Resolved != nil && !sum.fits(qt.Resolved) {
-			return true // cannot fit: one search step, nothing else
+		if qt.Resolved != nil && !s.offer.Fits(qt.Resolved) {
+			continue // cannot fit: one search step, nothing else
 		}
 		//lint:allocfree interface dispatch: the paper policies decide with value logic only; each policy's discipline is gated by TestTickZeroAlloc
 		d := s.policy.DecideOnNode(s.mgr, qt, node)
 		if d.Places() {
 			s.sus.Remove(qt)
 			s.place(qt, d, now)
-			sum = s.summarize(node) // capacity changed
+			s.offer = s.summarize(node) // capacity changed
 		}
-		return true
-	})
+	}
+	steps := s.sus.EndRetry()
 	s.c.SusRetries += int64(steps)
 	s.mgr.ChargeSearch(steps)
 	s.c.SuspendedTasks = int64(s.sus.Len())
@@ -1069,6 +1063,8 @@ func (s *Simulator) drainQueue(now int64) {
 				s.sus.Remove(qt)
 				s.discard(qt, now)
 				progress = true
+			default:
+				s.sus.Refile(qt) // the pass may have resolved it
 			}
 		}
 		if !progress {

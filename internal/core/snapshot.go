@@ -79,6 +79,10 @@ func (s *Simulator) EncodeSnapshot() ([]byte, error) {
 		return nil, fmt.Errorf("core: snapshot mid-tick (events pending at %d, clock %d)", next, s.eng.Now())
 	}
 
+	// Queued tasks carry their SusRetry lazily; bring the fields up
+	// to date before the task registry is written.
+	s.sus.Materialize()
+
 	var w snapshot.Writer
 
 	// Fingerprint: enough of the parameters to reject a restore into

@@ -82,8 +82,9 @@ func CapMaskOf(bits map[string]uint64, caps []string) (uint64, bool) {
 	return mask, true
 }
 
-// TaskStatus tracks a task through its lifecycle.
-type TaskStatus int
+// TaskStatus tracks a task through its lifecycle. It is a byte so it
+// packs beside Task's other small fields.
+type TaskStatus uint8
 
 const (
 	TaskCreated   TaskStatus = iota // generated, not yet scheduled

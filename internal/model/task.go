@@ -64,6 +64,10 @@ type Task struct {
 
 	// Status is the lifecycle state.
 	Status TaskStatus
+	// SusSlot locates the task inside the suspension queue holding it
+	// (0 when not queued). Managed by reslists.SusQueue; a task sits
+	// in at most one queue at a time.
+	SusSlot int32
 }
 
 // NewTask builds a task in the Created state with unset assignment.

@@ -194,7 +194,7 @@ func TestKindString(t *testing.T) {
 }
 
 func TestSusQueueFIFO(t *testing.T) {
-	q := NewSusQueue()
+	q := NewSusQueue(nil, 0)
 	if q.Len() != 0 || q.Peak() != 0 {
 		t.Fatal("fresh queue not empty")
 	}
@@ -218,7 +218,7 @@ func TestSusQueueFIFO(t *testing.T) {
 }
 
 func TestSusQueueRemove(t *testing.T) {
-	q := NewSusQueue()
+	q := NewSusQueue(nil, 0)
 	tasks := []*model.Task{mkTask(1), mkTask(2), mkTask(3), mkTask(4)}
 	for _, task := range tasks {
 		q.Add(task)
@@ -249,7 +249,7 @@ func TestSusQueueRemove(t *testing.T) {
 }
 
 func TestSusQueueDoubleAddPanics(t *testing.T) {
-	q := NewSusQueue()
+	q := NewSusQueue(nil, 0)
 	task := mkTask(1)
 	q.Add(task)
 	defer func() {
@@ -260,32 +260,54 @@ func TestSusQueueDoubleAddPanics(t *testing.T) {
 	q.Add(task)
 }
 
-func TestSusQueueEachBumpsRetry(t *testing.T) {
-	q := NewSusQueue()
+// TestSusQueueWalkBumpsRetry pins the lazy retry count: a walk
+// examines every queued task once — produced or skipped by the index —
+// and the count each task carries says so once it is read.
+func TestSusQueueWalkBumpsRetry(t *testing.T) {
+	cfgs := []*model.Config{{No: 0, ReqArea: 100}, {No: 1, ReqArea: 900}}
+	q := NewSusQueue(cfgs, 0)
 	tasks := []*model.Task{mkTask(1), mkTask(2), mkTask(3)}
+	tasks[0].Resolved, tasks[1].Resolved = cfgs[0], cfgs[1] // tasks[2] unresolved
 	for _, task := range tasks {
 		q.Add(task)
 	}
-	steps := q.Each(func(task *model.Task) bool { return task.No != 2 })
-	if steps != 2 {
-		t.Fatalf("steps=%d, want 2 (early stop)", steps)
+	// The offer admits only the small configuration: the large one is
+	// skipped without being produced, the unresolved task always is.
+	offer := Offer{Free: 500, Reclaim: 500}
+	var got []int
+	q.BeginRetry(&offer)
+	for task, _ := q.Next(); task != nil; task, _ = q.Next() {
+		got = append(got, task.No)
 	}
-	if tasks[0].SusRetry != 1 || tasks[1].SusRetry != 1 || tasks[2].SusRetry != 0 {
-		t.Fatalf("retry counters: %d %d %d", tasks[0].SusRetry, tasks[1].SusRetry, tasks[2].SusRetry)
+	if steps := q.EndRetry(); steps != 3 {
+		t.Fatalf("steps=%d, want 3 (every link explored)", steps)
+	}
+	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
+		t.Fatalf("walk produced %v, want [1 3]", got)
+	}
+	q.Materialize()
+	for _, task := range tasks {
+		if task.SusRetry != 1 {
+			t.Fatalf("task %d SusRetry=%d, want 1", task.No, task.SusRetry)
+		}
+	}
+	if q.Visits() != 2 {
+		t.Fatalf("visits=%d, want 2", q.Visits())
 	}
 }
 
-func TestSusQueueEachAllowsRemoval(t *testing.T) {
-	q := NewSusQueue()
+func TestSusQueueWalkAllowsRemoval(t *testing.T) {
+	q := NewSusQueue(nil, 0)
 	tasks := []*model.Task{mkTask(1), mkTask(2), mkTask(3)}
 	for _, task := range tasks {
 		q.Add(task)
 	}
 	// Remove every visited task during traversal.
-	q.Each(func(task *model.Task) bool {
+	q.BeginRetry(&Offer{})
+	for task, _ := q.Next(); task != nil; task, _ = q.Next() {
 		q.Remove(task)
-		return true
-	})
+	}
+	q.EndRetry()
 	if q.Len() != 0 {
 		t.Fatalf("queue not drained: %d left", q.Len())
 	}
@@ -324,7 +346,7 @@ func TestQuickListOps(t *testing.T) {
 // under arbitrary add/remove interleavings.
 func TestQuickSusQueueOrder(t *testing.T) {
 	f := func(ops []uint8) bool {
-		q := NewSusQueue()
+		q := NewSusQueue(nil, 0)
 		pool := make([]*model.Task, 8)
 		for i := range pool {
 			pool[i] = mkTask(i)
@@ -386,7 +408,7 @@ func BenchmarkListAddRemove(b *testing.B) {
 // churn at a warmed depth must recycle elements instead of allocating
 // one linked-list node per suspension.
 func TestSusQueueSteadyStateZeroAlloc(t *testing.T) {
-	q := NewSusQueue()
+	q := NewSusQueue(nil, 0)
 	tasks := []*model.Task{mkTask(1), mkTask(2), mkTask(3)}
 	for _, task := range tasks { // warm the pool to depth 3
 		q.Add(task)
@@ -411,7 +433,7 @@ func TestSusQueueSteadyStateZeroAlloc(t *testing.T) {
 // drain loop: FIFO order into a reused backing array, no allocation
 // once the array fits the queue.
 func TestSusQueueAppendTasks(t *testing.T) {
-	q := NewSusQueue()
+	q := NewSusQueue(nil, 0)
 	tasks := []*model.Task{mkTask(1), mkTask(2), mkTask(3)}
 	for _, task := range tasks {
 		q.Add(task)
