@@ -35,11 +35,12 @@ func suspensionWork(t *testing.T, p Params, perWalk bool) (susRetries int64, vis
 	var lastVisits uint64
 	var lastOnNode, expiries, lastExpiries int64
 	check := func(now int64) {
+		buckets := len(s.mgr.Configs()) + 1 // one per configuration, plus the unindexed one
 		dv := s.sus.Visits() - lastVisits
-		bound := uint64(pol.onNode-lastOnNode) + uint64(expiries-lastExpiries) + uint64(s.sus.Buckets())
+		bound := uint64(pol.onNode-lastOnNode) + uint64(expiries-lastExpiries) + uint64(buckets)
 		if dv > bound {
 			t.Fatalf("tick %d: a completion's walk produced %d tasks, bound %d (%d consultations, %d expiries, %d buckets)",
-				now, dv, bound, pol.onNode-lastOnNode, expiries-lastExpiries, s.sus.Buckets())
+				now, dv, bound, pol.onNode-lastOnNode, expiries-lastExpiries, buckets)
 		}
 		lastVisits, lastOnNode, lastExpiries = s.sus.Visits(), pol.onNode, expiries
 	}

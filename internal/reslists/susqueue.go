@@ -37,10 +37,10 @@ type susElem struct {
 	bnext, bprev int32 // FIFO within the bucket
 	// seq is the queue-wide FIFO position: strictly increasing along
 	// next, so every bucket is also ordered by it.
-	seq int64
+	seq int32
 	// epoch is the retry walk the task's SusRetry field was last
 	// brought up to date at (see materialize).
-	epoch int64
+	epoch int32
 	// bucket is the bucket index; -1 while a walk holds the element
 	// on its expiry list.
 	bucket int32
@@ -64,7 +64,7 @@ type susBucket struct {
 	// cursor is the position in SusQueue.cursors, valid only while
 	// cursorWalk equals the current walk epoch.
 	cursor     int32
-	cursorWalk int64
+	cursorWalk int32
 }
 
 // susCursor is a walk's position in one admitted bucket: the next
@@ -73,7 +73,7 @@ type susBucket struct {
 type susCursor struct {
 	bucket int32
 	slot   int32
-	seq    int64
+	seq    int32
 }
 
 // SusQueue is the suspension queue (the paper's SusList class): a
@@ -112,8 +112,8 @@ type SusQueue struct {
 	active     []int32     // indices of non-empty buckets
 	maxRetries int64       // SusRetry cap; 0 disables expiry
 	expiry     []int32     // min-heap of slots on (expiry walk, seq)
-	nextSeq    int64
-	epoch      int64 // retry walks begun
+	nextSeq    int32
+	epoch      int32 // retry walks begun since the last renumbering
 
 	// State of the walk in progress.
 	walking  bool
@@ -121,9 +121,9 @@ type SusQueue struct {
 	cursors  []susCursor
 	due      []int32 // slots this walk expires, in FIFO order
 	dueNext  int
-	limit    int64 // seq of the last element the walk reaches
+	limit    int32 // seq of the last element the walk reaches
 	startLen int
-	startSeq int64
+	startSeq int32
 	reach    bool  // tasks appended now are reached by this walk
 	last     int32 // candidate most recently returned by Next
 
@@ -180,10 +180,6 @@ func (q *SusQueue) Len() int { return q.size }
 // Peak returns the maximum queue depth observed.
 func (q *SusQueue) Peak() int { return q.peak }
 
-// Buckets returns the number of configuration buckets, the unindexed
-// one included.
-func (q *SusQueue) Buckets() int { return len(q.buckets) }
-
 // Visits returns how many tasks retry walks have produced since the
 // queue was built. It is a host-side work counter: it measures the
 // index, not the simulated system, and never feeds back into a run.
@@ -213,6 +209,9 @@ func (q *SusQueue) Contains(task *model.Task) bool { return q.slotOf(task) != 0 
 func (q *SusQueue) Add(task *model.Task) {
 	if q.Contains(task) {
 		panic(fmt.Sprintf("reslists: suspension queue double insert of %v", task))
+	}
+	if !q.walking && q.nextSeq >= susRenumberAt {
+		q.renumber()
 	}
 	s := q.alloc()
 	el := q.at(s)
@@ -310,6 +309,9 @@ func (q *SusQueue) alloc() int32 {
 //
 //dreamsim:noalloc
 func (q *SusQueue) BeginRetry(o *Offer) {
+	if q.nextSeq >= susRenumberAt || q.epoch >= susRenumberAt {
+		q.renumber()
+	}
 	q.epoch++
 	q.walking, q.offer = true, o
 	q.startLen, q.startSeq, q.limit = q.size, q.nextSeq, q.nextSeq-1
@@ -320,7 +322,7 @@ func (q *SusQueue) BeginRetry(o *Offer) {
 	// past the cap. The heap yields them by (expiry walk, seq); only
 	// a task re-queued with a count already past the cap is overdue,
 	// so the sorted insert is almost always an append.
-	for len(q.expiry) > 0 && q.expiryOf(q.at(q.expiry[0])) <= q.epoch {
+	for len(q.expiry) > 0 && q.expiryOf(q.at(q.expiry[0])) <= int64(q.epoch) {
 		s := q.expiry[0]
 		el := q.at(s)
 		q.heapRemove(el)
@@ -409,9 +411,34 @@ func (q *SusQueue) Materialize() {
 	}
 }
 
+// susRenumberAt bounds the 32-bit sequence and epoch counters: an add
+// or a walk that finds one past it first renumbers the queue, which
+// leaves every walk 2³⁰ of headroom. Tests lower it to exercise the
+// renumbering.
+var susRenumberAt int32 = 1 << 30
+
+// renumber restarts the sequence numbers and the walk epoch from zero
+// between walks. Every task keeps its FIFO position and its count, and
+// every expiry moves by the same number of walks, so the heap order
+// holds. Amortised over the 2³⁰ adds or walks that trigger it, it is
+// free.
+func (q *SusQueue) renumber() {
+	var seq int32
+	for s := q.head; s != 0; s = q.at(s).next {
+		el := q.at(s)
+		q.materialize(el)
+		el.seq, el.epoch = seq, 0
+		seq++
+	}
+	q.nextSeq, q.epoch = seq, 0
+	for i := range q.buckets {
+		q.buckets[i].cursorWalk = 0
+	}
+}
+
 // materialize folds the walks since el.epoch into the task's count.
 func (q *SusQueue) materialize(el *susElem) {
-	el.task.SusRetry += q.epoch - el.epoch
+	el.task.SusRetry += int64(q.epoch - el.epoch)
 	el.epoch = q.epoch
 }
 
@@ -454,13 +481,13 @@ func (q *SusQueue) bucketOf(task *model.Task) int32 {
 // expiryOf returns the walk whose examination pushes el's count past
 // the cap. Folding walks into the count leaves it unchanged.
 func (q *SusQueue) expiryOf(el *susElem) int64 {
-	return el.epoch + q.maxRetries - el.task.SusRetry + 1
+	return int64(el.epoch) + q.maxRetries - el.task.SusRetry + 1
 }
 
 // expires reports whether the current walk's examination of el
 // pushes its count past the cap.
 func (q *SusQueue) expires(el *susElem) bool {
-	return q.maxRetries > 0 && q.expiryOf(el) <= q.epoch
+	return q.maxRetries > 0 && q.expiryOf(el) <= int64(q.epoch)
 }
 
 // file links slot s into bucket b at its FIFO position and, when

@@ -310,7 +310,8 @@ func (w *diffWorld) step() {
 // the indexed suspension queue: over seeded random sequences of
 // suspensions, completion and recovery walks, retry-cap expiries,
 // mid-walk appends (fresh tasks and fault re-queues, including while
-// the tail is visited), out-of-walk removals and resolutions, the
+// the tail is visited), out-of-walk removals and resolutions, and
+// renumbering of the 32-bit sequence and epoch counters, the
 // indexed walk must consult the policy for the same tasks in the same
 // order with the same SusRetry values, charge the same steps per walk
 // and leave the same FIFO order and counts as the linear walk —
@@ -318,7 +319,13 @@ func (w *diffWorld) step() {
 // excludes.
 func TestSusQueueMatchesLinearWalk(t *testing.T) {
 	walks, appended, expiries := 0, 0, 0
+	defer func(at int32) { susRenumberAt = at }(susRenumberAt)
 	for seed := int64(1); seed <= 300; seed++ {
+		// Every third seed renumbers the queue almost every walk.
+		susRenumberAt = 1 << 30
+		if seed%3 == 0 {
+			susRenumberAt = int32(4 + seed%9)
+		}
 		for _, limit := range []int64{0, 2, 3, 6} {
 			ref := newDiffWorld(seed, limit, false)
 			idx := newDiffWorld(seed, limit, true)
