@@ -181,7 +181,7 @@ func (q *SusQueue) Len() int { return q.size }
 func (q *SusQueue) Peak() int { return q.peak }
 
 // Visits returns how many tasks retry walks have produced since the
-// queue was built. It is a host-side work counter: it measures the
+// queue was built or last reset. It is a host-side work counter: it measures the
 // index, not the simulated system, and never feeds back into a run.
 func (q *SusQueue) Visits() uint64 { return q.visits }
 
