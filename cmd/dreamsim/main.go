@@ -8,7 +8,7 @@
 //	dreamsim -nodes 100 -tasks 10000 -compare
 //	dreamsim -tasks 2000 -partial -xml report.xml
 //	dreamsim -tasks 2000 -trace workload.trace -partial
-//	dreamsim -nodes 100 -tasks 20000 -compare -cpuprofile cpu.out
+//	dreamsim -nodes 100 -tasks 20000 -compare -cpuprofile cpu.prof
 package main
 
 import (
