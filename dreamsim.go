@@ -196,15 +196,11 @@ type Params struct {
 	// default; 1 forces the index regardless of population size.
 	// Ignored unless FastSearch is set.
 	FastSearchCutoff int
-	// IntraParallel bounds the worker count INSIDE one simulation run:
-	// capability-sharded placement scans and batched same-tick dispatch
-	// (DESIGN.md §14). Orthogonal to Parallelism, which fans out whole
-	// runs. 0 picks min(GOMAXPROCS, 8) automatically; 1 forces the
-	// exact sequential code path; values above 1 set the worker count
-	// directly. Every result byte — reports, search/housekeeping
-	// counters, RNG streams — is identical at any setting; only wall-
-	// clock time changes, and only when same-tick arrivals or large
-	// node populations give the workers something to split.
+	// IntraParallel has no effect: a run always executes on one
+	// goroutine, and Parallelism is the way to use more cores.
+	//
+	// Deprecated: the field stays because stored dreamserve job specs
+	// carry it and are decoded with unknown fields rejected.
 	IntraParallel int
 
 	// ScenarioText, when non-empty, is a scenario specification in the
@@ -317,7 +313,6 @@ func (p Params) coreParams() (core.Params, error) {
 		TickStep:         p.TickStep,
 		FastSearch:       p.FastSearch,
 		FastSearchCutoff: p.FastSearchCutoff,
-		IntraParallel:    EffectiveIntraParallel(p.IntraParallel),
 		Stream:           p.Stream,
 		MaxSusRetries:    p.MaxSusRetries,
 		DefragThreshold:  p.DefragThreshold,

@@ -67,21 +67,26 @@ func TestDoReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
+// TestDoCancelsRemainingUnits: unit 0 fails while every other unit
+// blocks until the context is cancelled, so no worker can run ahead
+// of the cancel. Each worker therefore runs at most one unit.
 func TestDoCancelsRemainingUnits(t *testing.T) {
+	const workers = 2
 	boom := errors.New("boom")
 	var ran atomic.Int64
-	err := exec.Do(context.Background(), 2, 1000, func(_ context.Context, i int) error {
+	err := exec.Do(context.Background(), workers, 1000, func(ctx context.Context, i int) error {
 		ran.Add(1)
 		if i == 0 {
 			return boom
 		}
+		<-ctx.Done()
 		return nil
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("got %v, want %v", err, boom)
 	}
-	if ran.Load() == 1000 {
-		t.Fatal("cancellation did not skip any unit")
+	if n := ran.Load(); n > workers {
+		t.Fatalf("%d units ran, want at most %d (one per worker)", n, workers)
 	}
 }
 

@@ -130,3 +130,24 @@ func GlobalViaHelper() error {
 		return nil
 	})
 }
+
+func SeededIndex(out []int) error {
+	return exec.Do(context.Background(), 4, len(out), func(_ context.Context, u int) error {
+		i := u
+		out[i] = u // a local seeded from the unit index: safe
+		i = 0      // reassignment off the unit index forfeits safety
+		out[i] = u // want `exec.Do unit writes shared state through out\[\.\.\.\]`
+		return nil
+	})
+}
+
+func SteppedIndex(out []int) error {
+	return exec.Do(context.Background(), 4, len(out), func(_ context.Context, u int) error {
+		i, j := u, u
+		i++
+		out[i] = u // want `exec.Do unit writes shared state through out\[\.\.\.\]`
+		j += 1
+		out[j] = u // want `exec.Do unit writes shared state through out\[\.\.\.\]`
+		return nil
+	})
+}

@@ -442,3 +442,51 @@ func TestResumeAfterShutdown(t *testing.T) {
 		t.Fatalf("resumed results (%d bytes) differ from uninterrupted reference (%d bytes)", len(got), len(want))
 	}
 }
+
+// TestIntraParallelSpecCompat pins why dreamsim.Params.IntraParallel
+// survives as a no-op: specs are decoded with unknown fields rejected,
+// and every spec.json already on disk carries the field. A spec that
+// sets it must still decode, both when submitted and when loaded from
+// the store, and must stream results byte-identical to the same spec
+// without it.
+func TestIntraParallelSpecCompat(t *testing.T) {
+	const plain = `{"params":{"Nodes":10,"Configs":8,"Tasks":400,"TaskTimeRange":[100,2000],"Seed":7},"node_counts":[10,14]}`
+	const legacy = `{"params":{"Nodes":10,"Configs":8,"Tasks":400,"TaskTimeRange":[100,2000],"Seed":7,"IntraParallel":4},"node_counts":[10,14]}`
+
+	results := func(hs *httptest.Server, id string) []byte {
+		t.Helper()
+		if st := waitTerminal(t, hs, id); st.Status != "done" {
+			t.Fatalf("job %s ended %q (%s)", id, st.Status, st.Error)
+		}
+		code, body := do(t, "GET", hs.URL+"/api/v1/jobs/"+id+"/results", "")
+		if code != http.StatusOK {
+			t.Fatalf("results of %s: HTTP %d", id, code)
+		}
+		return body
+	}
+
+	_, hs := newTestServer(t, nil)
+	for _, spec := range []string{plain, legacy} {
+		if code, body := do(t, "POST", hs.URL+"/api/v1/jobs", spec); code != http.StatusAccepted {
+			t.Fatalf("submit: HTTP %d: %s", code, body)
+		}
+	}
+	want := results(hs, "j000001")
+	if got := results(hs, "j000002"); !bytes.Equal(got, want) {
+		t.Fatalf("submitted spec with IntraParallel streamed %d bytes, want the %d of the spec without it", len(got), len(want))
+	}
+
+	// A job persisted by an earlier server: only its spec.json exists.
+	dir := t.TempDir()
+	jobDir := filepath.Join(dir, "jobs", "j000001")
+	if err := os.MkdirAll(jobDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(jobDir, "spec.json"), []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, hs = newTestServer(t, func(cfg *Config) { cfg.Dir = dir })
+	if got := results(hs, "j000001"); !bytes.Equal(got, want) {
+		t.Fatalf("stored spec with IntraParallel streamed %d bytes, want the %d of the spec without it", len(got), len(want))
+	}
+}
