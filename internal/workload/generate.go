@@ -68,12 +68,18 @@ func genParams(r *rng.RNG, pt model.PType) []string {
 // GenNodes generates the node population (the paper's InitNodes):
 // TotalArea uniform within the node area limits. partial selects the
 // reconfiguration method for the whole population.
+//
+// The nodes share one backing array: they live and die together, and
+// one allocation instead of one per node keeps a burst of simulator
+// constructions from outrunning the garbage collector (thousands of
+// small objects per run made the heap overshoot its goal).
 func GenNodes(r *rng.RNG, spec *Spec, partial bool) []*model.Node {
 	nodes := make([]*model.Node, spec.Nodes)
+	slab := make([]model.Node, spec.Nodes)
 	for i := range nodes {
-		n := model.NewNode(i, r.Int64Range(spec.NodeAreaLow, spec.NodeAreaHigh), partial)
-		n.Caps = drawCaps(r, spec.CapKinds, spec.NodeCapProb)
-		nodes[i] = n
+		slab[i] = *model.NewNode(i, r.Int64Range(spec.NodeAreaLow, spec.NodeAreaHigh), partial)
+		slab[i].Caps = drawCaps(r, spec.CapKinds, spec.NodeCapProb)
+		nodes[i] = &slab[i]
 	}
 	return nodes
 }
