@@ -26,13 +26,13 @@ func TestCompareReportsFlagsRegressions(t *testing.T) {
 	oldRep := report{Sweeps: []sweep{
 		{Label: "sequential", CellsPerSec: 150},
 		{Label: "parallel", CellsPerSec: 400},
-		{Label: "fast-search", CellsPerSec: 150},
+		{Label: "mp1/par1", CellsPerSec: 150},
 	}}
 	newRep := report{Sweeps: []sweep{
-		{Label: "sequential", CellsPerSec: 140},  // -6.7%: inside tolerance
-		{Label: "parallel", CellsPerSec: 320},    // -20%: regression
-		{Label: "fast-search", CellsPerSec: 180}, // improvement
-		{Label: "tick-step", CellsPerSec: 12},    // new sweep: never a regression
+		{Label: "sequential", CellsPerSec: 140}, // -6.7%: inside tolerance
+		{Label: "parallel", CellsPerSec: 320},   // -20%: regression
+		{Label: "mp1/par1", CellsPerSec: 180},   // improvement
+		{Label: "tick-step", CellsPerSec: 12},   // new sweep: never a regression
 	}}
 	deltas := compareReports(oldRep, newRep, 0.10)
 	if len(deltas) != 4 {
@@ -48,7 +48,7 @@ func TestCompareReportsFlagsRegressions(t *testing.T) {
 	if !byLabel["parallel"].Regression {
 		t.Error("20% slowdown not flagged at 10% tolerance")
 	}
-	if byLabel["fast-search"].Regression {
+	if byLabel["mp1/par1"].Regression {
 		t.Error("improvement flagged as regression")
 	}
 	if d := byLabel["tick-step"]; !d.Added || d.Regression {
@@ -202,5 +202,23 @@ func TestRunCompareExitCodes(t *testing.T) {
 	out.Reset()
 	if code, err = runCompare(&out, filepath.Join(dir, "absent.json"), okPath, 0.10); err == nil || code == 0 {
 		t.Fatal("unreadable old file must error with non-zero code")
+	}
+}
+
+// TestLoadReportAcceptsRetiredFields: committed BENCH files written
+// before a field was retired (here the per-sweep fast_search flag)
+// must still decode, so -compare can diff them against fresh runs.
+func TestLoadReportAcceptsRetiredFields(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.json")
+	old := `{"date":"old","sweeps":[{"label":"sequential","parallel":1,"fast_search":false,"runs":1,"ns_per_sweep":1000,"cells_per_sec":150,"gomaxprocs":1}]}`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := loadReport(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Sweeps) != 1 || r.Sweeps[0].Label != "sequential" || r.Sweeps[0].CellsPerSec != 150 {
+		t.Fatalf("old report decoded as %+v", r)
 	}
 }

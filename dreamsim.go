@@ -182,19 +182,15 @@ type Params struct {
 	// randomness from its own Params — parallelism only changes wall-
 	// clock time. A single Run is unaffected.
 	Parallelism int
-	// FastSearch replaces the resource information manager's linear
-	// placement searches with an area-ordered node index (O(log n)
-	// instead of O(n) per search). Results and all Table I counters
-	// are identical to the linear mode: the paper's SearchLength /
-	// workload accounting is a model output, so the fast path charges
-	// exactly the steps the metered linear walk would have charged.
+	// FastSearch has no effect: placement searches always run the
+	// capability-sharded linear scan.
+	//
+	// Deprecated: the field stays because stored dreamserve job specs
+	// carry it and are decoded with unknown fields rejected.
 	FastSearch bool
-	// FastSearchCutoff is the node count at which FastSearch actually
-	// builds the index. Below it the per-search win cannot pay for the
-	// index's per-transition maintenance, so small populations keep
-	// the (identically metered) linear scans. Zero picks a measured
-	// default; 1 forces the index regardless of population size.
-	// Ignored unless FastSearch is set.
+	// FastSearchCutoff has no effect.
+	//
+	// Deprecated: kept with FastSearch for stored job specs.
 	FastSearchCutoff int
 	// IntraParallel has no effect: a run always executes on one
 	// goroutine, and Parallelism is the way to use more cores.
@@ -310,12 +306,10 @@ func (p Params) coreParams() (core.Params, error) {
 			BitstreamBandwidth: p.BitstreamBandwidth,
 			DataBandwidth:      p.DataBandwidth,
 		},
-		TickStep:         p.TickStep,
-		FastSearch:       p.FastSearch,
-		FastSearchCutoff: p.FastSearchCutoff,
-		Stream:           p.Stream,
-		MaxSusRetries:    p.MaxSusRetries,
-		DefragThreshold:  p.DefragThreshold,
+		TickStep:        p.TickStep,
+		Stream:          p.Stream,
+		MaxSusRetries:   p.MaxSusRetries,
+		DefragThreshold: p.DefragThreshold,
 	}
 	script, err := fault.ParseScript(p.FaultScript)
 	if err != nil {

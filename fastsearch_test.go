@@ -7,11 +7,11 @@ import (
 	"dreamsim"
 )
 
-// TestFastSearchEquivalence is the acceptance gate for the indexed
-// resource-search path: across a grid of scales and both
+// TestFastSearchEquivalence pins that the deprecated FastSearch and
+// FastSearchCutoff fields are no-ops: across a grid of scales and both
 // reconfiguration scenarios, every public Result — metrics, Table I
 // counters (SchedulerSearch and HousekeepingSteps included), phase
-// histogram — must be identical with FastSearch on and off.
+// histogram — must be identical with them set and unset.
 func TestFastSearchEquivalence(t *testing.T) {
 	for _, nodes := range []int{50, 100} {
 		for _, tasks := range []int{500, 1000} {
@@ -26,15 +26,13 @@ func TestFastSearchEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 				p.FastSearch = true
-				// Cutoff 1 forces the index even on the 50-node
-				// population, which sits below the adaptive default.
 				p.FastSearchCutoff = 1
 				fast, err := dreamsim.Run(p)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(lin, fast) {
-					t.Errorf("nodes=%d tasks=%d partial=%v: fast-search result diverged\nlinear %+v\nfast   %+v",
+					t.Errorf("nodes=%d tasks=%d partial=%v: FastSearch result diverged\nlinear %+v\nfast   %+v",
 						nodes, tasks, partial, lin, fast)
 				}
 			}
@@ -43,7 +41,8 @@ func TestFastSearchEquivalence(t *testing.T) {
 }
 
 // TestFastSearchMatrixEquivalence covers the sweep-level surface: a
-// full matrix run with FastSearch produces the same cells as linear.
+// full matrix run with FastSearch set produces the same cells as one
+// without it.
 func TestFastSearchMatrixEquivalence(t *testing.T) {
 	base := dreamsim.DefaultParams()
 	lin, err := dreamsim.RunMatrix(base, []int{20, 40}, []int{100, 300}, nil)
@@ -51,7 +50,7 @@ func TestFastSearchMatrixEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	base.FastSearch = true
-	base.FastSearchCutoff = 1 // force the index below the adaptive default
+	base.FastSearchCutoff = 1
 	fast, err := dreamsim.RunMatrix(base, []int{20, 40}, []int{100, 300}, nil)
 	if err != nil {
 		t.Fatal(err)

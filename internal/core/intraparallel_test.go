@@ -83,11 +83,6 @@ func TestIntraParallelResultEquivalence(t *testing.T) {
 			p.Partial = true
 			p.Stream = true
 		}},
-		{"fastsearch-index", func(p *Params) {
-			p.Partial = true
-			p.FastSearch = true
-			p.FastSearchCutoff = 1
-		}},
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
@@ -178,7 +173,7 @@ func TestIntraParallelScenarioEquivalence(t *testing.T) {
 // TestIntraParallelSnapshotResume: a snapshot must restore and finish
 // identically when the restoring side sets a different IntraParallel
 // than the snapshotting side. The fingerprint deliberately excludes
-// the field, exactly like FastSearch: neither changes a result byte.
+// the field: it changes no result byte.
 func TestIntraParallelSnapshotResume(t *testing.T) {
 	ref := mustRun(t, scenarioParams(t, 1))
 	paused := 0

@@ -16,7 +16,7 @@ import (
 // fabric contents, RNG stream positions, source cursors, queue
 // orders — and nothing that New rebuilds deterministically from the
 // run parameters (nodes, configurations, handlers, policy tables,
-// fault schedules, the fast-search index). RestoreSnapshot therefore
+// fault schedules). RestoreSnapshot therefore
 // runs New first and then overwrites the dynamic state, so a restored
 // run continues byte-identically to one that never paused.
 //

@@ -1,7 +1,6 @@
 package resinfo_test
 
 import (
-	"fmt"
 	"testing"
 
 	"dreamsim/internal/invariant"
@@ -21,10 +20,10 @@ type searchBench struct {
 	task  model.Task
 }
 
-func newSearchBench(tb testing.TB, nodeCount int, opts ...resinfo.Option) *searchBench {
+func newSearchBench(tb testing.TB, nodeCount int) *searchBench {
 	tb.Helper()
 	nodes, cfgs := population(1234, nodeCount, 30, nil)
-	m, err := resinfo.New(nodes, cfgs, &metrics.Counters{}, opts...)
+	m, err := resinfo.New(nodes, cfgs, &metrics.Counters{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -33,8 +32,8 @@ func newSearchBench(tb testing.TB, nodeCount int, opts ...resinfo.Option) *searc
 
 // cycle is one steady-state round: the placement-search queries the
 // scheduler issues per decision, plus a configure → start → finish →
-// evict transition so the index pays its full maintenance cost (blank,
-// partially-blank and busy buckets all move). The node returns to
+// evict transition so the scan block's sync runs on every flag change
+// (blank, partially-blank and busy all move). The node returns to
 // blank, so every round sees the same state.
 func (sb *searchBench) cycle(tb testing.TB, i int) {
 	cfg := sb.cfgs[i%len(sb.cfgs)]
@@ -66,18 +65,14 @@ func (sb *searchBench) cycle(tb testing.TB, i int) {
 	}
 }
 
-// BenchmarkSearch measures the indexed placement-search path on the
-// 150-node population — the sweep grid's largest cell — and must
-// report 0 allocs/op: treap nodes and entries recycle through their
-// pools, bucket state is cached, and queries walk pointers only. CI
-// gates on the allocs/op column.
+// BenchmarkSearch measures the placement-search path on the 150-node
+// population — the sweep grid's largest cell — and must report 0
+// allocs/op: entries recycle through their pool and the scans walk
+// the preallocated SoA arrays only. CI gates on the allocs/op column.
 func BenchmarkSearch(b *testing.B) {
-	sb := newSearchBench(b, 150, resinfo.WithFastSearch())
-	if !sb.m.FastSearch() {
-		b.Fatal("index not live")
-	}
+	sb := newSearchBench(b, 150)
 	for i := 0; i < 64; i++ {
-		sb.cycle(b, i) // warm the entry and treap pools
+		sb.cycle(b, i) // warm the entry pool
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -94,37 +89,12 @@ func TestSearchZeroAlloc(t *testing.T) {
 	if invariant.RaceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	sb := newSearchBench(t, 150, resinfo.WithFastSearch())
+	sb := newSearchBench(t, 150)
 	for i := 0; i < 64; i++ {
 		sb.cycle(t, i)
 	}
 	i := 64
 	if avg := testing.AllocsPerRun(500, func() { sb.cycle(t, i); i++ }); avg != 0 {
 		t.Fatalf("placement search allocates: %.1f allocs/op", avg)
-	}
-}
-
-// BenchmarkSearchCrossover compares the metered linear scans against
-// the treap index across population sizes under the same query +
-// transition mix; DefaultFastSearchCutoff is set from where the fast
-// line first beats the linear one.
-func BenchmarkSearchCrossover(b *testing.B) {
-	for _, n := range []int{48, 96, 150, 192, 256, 384, 512} {
-		for _, mode := range []string{"linear", "fast"} {
-			b.Run(fmt.Sprintf("%s-%d", mode, n), func(b *testing.B) {
-				var opts []resinfo.Option
-				if mode == "fast" {
-					opts = append(opts, resinfo.WithFastSearch())
-				}
-				sb := newSearchBench(b, n, opts...)
-				for i := 0; i < 64; i++ {
-					sb.cycle(b, i)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					sb.cycle(b, i)
-				}
-			})
-		}
 	}
 }

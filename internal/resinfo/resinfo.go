@@ -9,7 +9,6 @@ package resinfo
 
 import (
 	"fmt"
-	"sort"
 
 	"dreamsim/internal/invariant"
 	"dreamsim/internal/metrics"
@@ -27,13 +26,6 @@ type Manager struct {
 	c         *metrics.Counters
 	downCount int // nodes currently failed (CrashNode minus RecoverNode)
 
-	// Fast-search state (nil/empty when the linear paper paths run).
-	wantFast   bool
-	fastCutoff int // minimum node count for the index to pay off
-	idx        *nodeIndex
-	cfgPos     map[int]int     // config No -> position in the list
-	cfgByArea  []*model.Config // configs ordered by (ReqArea, position)
-
 	// SoA scan block: the capability-sharded dense arrays the linear
 	// placement scans walk (see soa.go). Built for every manager and
 	// kept in sync by reindex.
@@ -48,53 +40,16 @@ type Manager struct {
 	entryFree []*model.Entry
 }
 
-// Option customises a Manager at construction time.
-type Option func(*Manager)
-
-// WithFastSearch replaces the linear node and configuration searches
-// with indexed O(log n) equivalents. Search results and every metered
-// counter are identical to the linear mode: the index returns the
-// exact node the linear walk would have and charges the exact steps
-// the walk would have charged (the paper's search accounting is a
-// model output, not an execution constraint). Populations whose
-// capability name space exceeds 64 distinct names fall back to the
-// linear path silently; FastSearch reports whether the index is live.
-func WithFastSearch() Option {
-	return func(m *Manager) { m.wantFast = true; m.fastCutoff = 0 }
-}
-
-// DefaultFastSearchCutoff is the node count below which the metered
-// linear scans beat the index: under it every search touches so few
-// nodes that treap maintenance on each state transition costs more
-// than the walks it saves. Query-only microbenchmarks
-// (BenchmarkSearchCrossover) favour the index much earlier, but
-// end-to-end simulation — where every StartTask/FinishTask/Configure
-// moves treap nodes between buckets — puts the crossover between 250
-// and 300 nodes at the paper's Table II workload shape; see DESIGN.md
-// "Performance & allocation discipline".
-const DefaultFastSearchCutoff = 256
-
-// WithFastSearchCutoff is WithFastSearch with an adaptive threshold:
-// the index is built only for populations of at least cutoff nodes,
-// smaller ones keep the linear paths. Results and metering are
-// identical either way — the cutoff trades wall time only.
-func WithFastSearchCutoff(cutoff int) Option {
-	return func(m *Manager) { m.wantFast = true; m.fastCutoff = cutoff }
-}
-
 // New builds a manager over the given resources. Config numbers must
 // be unique; the counters receive all metering.
 //
 //lint:metering construction-time setup walks; the paper meters only the running scheduler
-func New(nodes []*model.Node, configs []*model.Config, counters *metrics.Counters, opts ...Option) (*Manager, error) {
+func New(nodes []*model.Node, configs []*model.Config, counters *metrics.Counters) (*Manager, error) {
 	m := &Manager{
 		nodes:   nodes,
 		configs: configs,
 		pairs:   make(map[int]reslists.Pair, len(configs)),
 		c:       counters,
-	}
-	for _, opt := range opts {
-		opt(m)
 	}
 	for _, cfg := range configs {
 		if err := cfg.Validate(); err != nil {
@@ -111,29 +66,12 @@ func New(nodes []*model.Node, configs []*model.Config, counters *metrics.Counter
 		n.Slot = i
 	}
 	m.soa = newSoaState(nodes, configs)
-	if m.wantFast && len(nodes) >= m.fastCutoff {
-		if idx, ok := newNodeIndex(nodes, configs); ok {
-			m.idx = idx
-			m.cfgPos = make(map[int]int, len(configs))
-			for i, cfg := range configs {
-				m.cfgPos[cfg.No] = i
-			}
-			m.cfgByArea = append([]*model.Config(nil), configs...)
-			sort.SliceStable(m.cfgByArea, func(i, j int) bool {
-				return m.cfgByArea[i].ReqArea < m.cfgByArea[j].ReqArea
-			})
-		}
-	}
 	return m, nil
 }
 
-// FastSearch reports whether the indexed search path is active.
-func (m *Manager) FastSearch() bool { return m.idx != nil }
-
-// reindex reconciles the fast-search index after node changed state;
-// a no-op on the linear path. Maintenance charges no counters — the
-// metered workload describes the simulated linear-search scheduler,
-// not the host data structure.
+// reindex reconciles the SoA scan block after node changed state.
+// Maintenance charges no counters — the metered workload describes the
+// simulated linear-search scheduler, not the host data structure.
 func (m *Manager) reindex(node *model.Node) {
 	// reindex is the shared tail of every state transition
 	// (Configure, EvictIdle, BlankNode, StartTask, FinishTask), so it
@@ -146,9 +84,6 @@ func (m *Manager) reindex(node *model.Node) {
 			"resinfo: down node %d still holds %d configurations", node.No, len(node.Entries))
 	}
 	m.soa.sync(node.Slot, node)
-	if m.idx != nil {
-		m.idx.sync(m.idx.pos[node], node)
-	}
 }
 
 // Nodes returns the node list (callers must not mutate node state
@@ -192,20 +127,10 @@ func (m *Manager) ChargeHousekeeping(n uint64) { m.housekeep(n) }
 // FindPreferredConfig searches the configurations list for cfgNo
 // (paper method; metered as the linear search the paper describes —
 // "currently a simple linear search is employed"). It returns nil
-// when the preferred configuration does not exist. The fast path
-// answers from a hash map but charges the steps the walk would have
-// taken: the position of the hit, or the whole list on a miss.
+// when the preferred configuration does not exist.
 //
 //dreamsim:noalloc
 func (m *Manager) FindPreferredConfig(cfgNo int) *model.Config {
-	if m.cfgPos != nil {
-		if pos, ok := m.cfgPos[cfgNo]; ok {
-			m.search(uint64(pos) + 1)
-			return m.configs[pos]
-		}
-		m.search(uint64(len(m.configs)))
-		return nil
-	}
 	var steps uint64
 	for _, cfg := range m.configs {
 		steps++
@@ -225,20 +150,6 @@ func (m *Manager) FindPreferredConfig(cfgNo int) *model.Config {
 //
 //dreamsim:noalloc
 func (m *Manager) FindClosestConfig(neededArea model.Area) *model.Config {
-	if m.cfgByArea != nil {
-		// The linear scan keeps the first config holding the minimal
-		// sufficient ReqArea; in the (ReqArea, position)-ordered view
-		// that is the first element at or above neededArea. The walk
-		// always visits the whole list, so the whole list is charged.
-		m.search(uint64(len(m.configs)))
-		i := sort.Search(len(m.cfgByArea), func(i int) bool {
-			return m.cfgByArea[i].ReqArea >= neededArea
-		})
-		if i == len(m.cfgByArea) {
-			return nil
-		}
-		return m.cfgByArea[i]
-	}
 	var best *model.Config
 	var steps uint64
 	for _, cfg := range m.configs {
@@ -406,18 +317,13 @@ func (m *Manager) BestIdleEntry(cfgNo int) *model.Entry {
 }
 
 // BestBlankNode scans for blank, capability-compatible nodes that can
-// hold cfg and returns the one with minimum sufficient TotalArea. The
-// fast path answers the same query from the blank-node index in
-// O(log n); the linear path scans the SoA block's compatible
-// capability shards. The paper's walk always visits every node, so
-// the whole list is charged in every mode.
+// hold cfg and returns the one with minimum sufficient TotalArea,
+// scanning the SoA block's compatible capability shards. The paper's
+// walk always visits every node, so the whole list is charged.
 //
 //dreamsim:noalloc
 func (m *Manager) BestBlankNode(cfg *model.Config) *model.Node {
 	m.search(uint64(len(m.nodes)))
-	if m.idx != nil {
-		return m.idx.bestBlank(cfg)
-	}
 	return m.scanBest(cfg, soaBlank, m.soa.total)
 }
 
@@ -431,9 +337,6 @@ func (m *Manager) BestBlankNode(cfg *model.Config) *model.Node {
 //dreamsim:noalloc
 func (m *Manager) BestPartiallyBlankNode(cfg *model.Config) *model.Node {
 	m.search(uint64(len(m.nodes)))
-	if m.idx != nil {
-		return m.idx.bestPart(cfg)
-	}
 	return m.scanBest(cfg, soaPart, m.soa.avail)
 }
 
@@ -500,18 +403,9 @@ func (m *Manager) FindAnyIdleNode(cfg *model.Config) (*model.Node, []*model.Entr
 //dreamsim:noalloc
 func (m *Manager) AnyBusyNodeCouldFit(cfg *model.Config) bool {
 	// The linear walk exits at the first match, so the charge is that
-	// node's position (+1) — recovered by the busy index's subtree-
-	// minimum positions in O(log n), or by the sharded first-fit scan's
+	// node's position (+1) — recovered by the sharded first-fit scan's
 	// minimum-slot reduction — or the whole list when no busy node
 	// fits.
-	if m.idx != nil {
-		if pos := m.idx.firstBusyFit(cfg); pos >= 0 {
-			m.search(uint64(pos) + 1)
-			return true
-		}
-		m.search(uint64(len(m.nodes)))
-		return false
-	}
 	if pos := m.scanFirstFit(cfg, soaBusy); pos >= 0 {
 		m.search(uint64(pos) + 1)
 		return true
@@ -614,13 +508,5 @@ func (m *Manager) CheckInvariants() error {
 			}
 		}
 	}
-	if err := m.soa.check(m.nodes); err != nil {
-		return err
-	}
-	if m.idx != nil {
-		if err := m.idx.check(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return m.soa.check(m.nodes)
 }

@@ -312,3 +312,27 @@ func TestInvariantCatchesUnlistedEntry(t *testing.T) {
 		t.Fatal("unlisted entry not detected")
 	}
 }
+
+// TestInvariantCatchesStaleShardCounts: a scan skips every shard whose
+// blank or partially-blank count reads zero, so a drifted count would
+// hide candidates; CheckInvariants must recount and reject it.
+func TestInvariantCatchesStaleShardCounts(t *testing.T) {
+	m, _ := rig(t, []int64{2000, 2000}, []int64{500}, true)
+	if _, err := m.Configure(m.Nodes()[0], m.Configs()[0]); err != nil {
+		t.Fatal(err)
+	}
+	sh := &m.soa.shards[0]
+	if sh.blank != 1 || sh.part != 1 {
+		t.Fatalf("shard counts blank %d, partial %d; want 1, 1", sh.blank, sh.part)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*int32{&sh.blank, &sh.part} {
+		*c++
+		if err := m.CheckInvariants(); err == nil {
+			t.Fatal("stale shard count not detected")
+		}
+		*c--
+	}
+}

@@ -17,16 +17,16 @@ import (
 // and each query touches only the shards whose mask covers the
 // configuration's requirement.
 //
-// The layer exists on every manager — it is the linear scan now, with
-// the treap index (index.go) still taking over when FastSearch is live
-// — and reindex keeps it in sync on the same transition tail that
-// syncs the treaps.
+// Each shard also counts its blank and partially-blank members, so a
+// scan for a class the shard holds none of (no soaPart node in
+// full-reconfiguration mode, no blank node under overload) skips the
+// shard without walking it. reindex keeps arrays and counts in sync on
+// the tail of every state transition.
 //
 // Populations whose capability name space exceeds 64 distinct names
 // cannot be mask-encoded; they degrade to a single shard holding every
 // node, with the per-node string subset test (HasCaps) back in the
-// scan filter — the same fallback rule the treap index applies, with
-// identical results and metering either way.
+// scan filter, with identical results and metering either way.
 
 // Node-state flag bits, mirroring the classifications the placement
 // phases filter on.
@@ -64,10 +64,13 @@ func soaFlagsOf(n *model.Node) uint8 {
 // soaShard is one capability class: the slots of every node sharing
 // one exact capability mask, in ascending slot order (so an in-order
 // walk visits nodes in node-list order and ties resolve to the lower
-// node number without extra work).
+// node number without extra work). blank and part count the members
+// flagged soaBlank and soaPart.
 type soaShard struct {
 	mask    uint64
 	members []int32
+	blank   int32
+	part    int32
 }
 
 // soaState is the manager's scan-field block.
@@ -131,10 +134,39 @@ func newSoaState(nodes []*model.Node, configs []*model.Config) *soaState {
 	return s
 }
 
-// sync refreshes one slot from its node.
+// sync refreshes one slot from its node and moves its shard's blank
+// and partially-blank counts by the flag change.
 func (s *soaState) sync(slot int, n *model.Node) {
 	s.avail[slot] = int64(n.AvailableArea)
-	s.flags[slot] = soaFlagsOf(n)
+	old, f := s.flags[slot], soaFlagsOf(n)
+	s.flags[slot] = f
+	if old == f {
+		return
+	}
+	sh := &s.shards[s.shardOf[slot]]
+	sh.blank += flagDelta(old, f, soaBlank)
+	sh.part += flagDelta(old, f, soaPart)
+}
+
+// flagDelta is +1 when the change from old to f sets bit, -1 when it
+// clears it, 0 otherwise.
+func flagDelta(old, f, bit uint8) int32 {
+	switch {
+	case old&bit == 0 && f&bit != 0:
+		return 1
+	case old&bit != 0 && f&bit == 0:
+		return -1
+	}
+	return 0
+}
+
+// candidates is the shard's count of members flagged want (soaBlank or
+// soaPart).
+func (sh *soaShard) candidates(want uint8) int32 {
+	if want == soaBlank {
+		return sh.blank
+	}
+	return sh.part
 }
 
 // reqMask folds a required-capability list into its query mask. A
@@ -175,16 +207,28 @@ func (s *soaState) check(nodes []*model.Node) error {
 	}
 	seen := 0
 	for si := range s.shards {
+		sh := &s.shards[si]
 		prev := int32(-1)
-		for _, p := range s.shards[si].members {
+		var blank, part int32
+		for _, p := range sh.members {
 			if p <= prev {
 				return fmt.Errorf("resinfo: shard %d members out of order", si)
 			}
 			if s.shardOf[p] != int32(si) {
 				return fmt.Errorf("resinfo: slot %d listed in shard %d but assigned %d", p, si, s.shardOf[p])
 			}
+			if s.flags[p]&soaBlank != 0 {
+				blank++
+			}
+			if s.flags[p]&soaPart != 0 {
+				part++
+			}
 			prev = p
 			seen++
+		}
+		if sh.blank != blank || sh.part != part {
+			return fmt.Errorf("resinfo: shard %d counts blank %d, partial %d; members hold %d, %d",
+				si, sh.blank, sh.part, blank, part)
 		}
 	}
 	if seen != len(nodes) {
@@ -226,7 +270,8 @@ func (m *Manager) shardBest(sh *soaShard, want uint8, key []int64, reqArea int64
 // soaBlank, key = TotalArea) and BestPartiallyBlankNode (want =
 // soaPart, key = AvailableArea). It reduces shard results by
 // (key, slot) with ties to the lower slot — exactly the node the flat
-// strict-< walk in node order would keep. The caller charges the walk.
+// strict-< walk in node order would keep. A shard with no member
+// flagged want is skipped unwalked. The caller charges the walk.
 //
 //dreamsim:noalloc
 func (m *Manager) scanBest(cfg *model.Config, want uint8, key []int64) *model.Node {
@@ -242,7 +287,7 @@ func (m *Manager) scanBest(cfg *model.Config, want uint8, key []int64) *model.No
 	var bestKey int64
 	for si := range s.shards {
 		sh := &s.shards[si]
-		if masked && sh.mask&req != req {
+		if (masked && sh.mask&req != req) || sh.candidates(want) == 0 {
 			continue
 		}
 		a, p := m.shardBest(sh, want, key, int64(cfg.ReqArea), cfg.RequiredCaps, !masked)

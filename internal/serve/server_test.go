@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -443,15 +444,18 @@ func TestResumeAfterShutdown(t *testing.T) {
 	}
 }
 
-// TestIntraParallelSpecCompat pins why dreamsim.Params.IntraParallel
-// survives as a no-op: specs are decoded with unknown fields rejected,
-// and every spec.json already on disk carries the field. A spec that
-// sets it must still decode, both when submitted and when loaded from
-// the store, and must stream results byte-identical to the same spec
-// without it.
+// TestIntraParallelSpecCompat pins why the deprecated no-op fields of
+// dreamsim.Params (IntraParallel, FastSearch, FastSearchCutoff)
+// survive: specs are decoded with unknown fields rejected, and spec.json
+// files already on disk carry them. A spec that sets them must still
+// decode, both when submitted and when loaded from the store, and must
+// stream results byte-identical to the same spec without them.
 func TestIntraParallelSpecCompat(t *testing.T) {
 	const plain = `{"params":{"Nodes":10,"Configs":8,"Tasks":400,"TaskTimeRange":[100,2000],"Seed":7},"node_counts":[10,14]}`
-	const legacy = `{"params":{"Nodes":10,"Configs":8,"Tasks":400,"TaskTimeRange":[100,2000],"Seed":7,"IntraParallel":4},"node_counts":[10,14]}`
+	legacy := []struct{ field, spec string }{
+		{"IntraParallel", `{"params":{"Nodes":10,"Configs":8,"Tasks":400,"TaskTimeRange":[100,2000],"Seed":7,"IntraParallel":4},"node_counts":[10,14]}`},
+		{"FastSearch", `{"params":{"Nodes":10,"Configs":8,"Tasks":400,"TaskTimeRange":[100,2000],"Seed":7,"FastSearch":true,"FastSearchCutoff":1},"node_counts":[10,14]}`},
+	}
 
 	results := func(hs *httptest.Server, id string) []byte {
 		t.Helper()
@@ -464,29 +468,40 @@ func TestIntraParallelSpecCompat(t *testing.T) {
 		}
 		return body
 	}
-
-	_, hs := newTestServer(t, nil)
-	for _, spec := range []string{plain, legacy} {
+	submit := func(hs *httptest.Server, spec string) {
+		t.Helper()
 		if code, body := do(t, "POST", hs.URL+"/api/v1/jobs", spec); code != http.StatusAccepted {
 			t.Fatalf("submit: HTTP %d: %s", code, body)
 		}
 	}
+
+	_, hs := newTestServer(t, nil)
+	submit(hs, plain)
+	for _, l := range legacy {
+		submit(hs, l.spec)
+	}
 	want := results(hs, "j000001")
-	if got := results(hs, "j000002"); !bytes.Equal(got, want) {
-		t.Fatalf("submitted spec with IntraParallel streamed %d bytes, want the %d of the spec without it", len(got), len(want))
+	for i, l := range legacy {
+		if got := results(hs, fmt.Sprintf("j%06d", i+2)); !bytes.Equal(got, want) {
+			t.Fatalf("submitted spec with %s streamed %d bytes, want the %d of the spec without it", l.field, len(got), len(want))
+		}
 	}
 
-	// A job persisted by an earlier server: only its spec.json exists.
+	// Jobs persisted by an earlier server: only their spec.json exists.
 	dir := t.TempDir()
-	jobDir := filepath.Join(dir, "jobs", "j000001")
-	if err := os.MkdirAll(jobDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(jobDir, "spec.json"), []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
+	for i, l := range legacy {
+		jobDir := filepath.Join(dir, "jobs", fmt.Sprintf("j%06d", i+1))
+		if err := os.MkdirAll(jobDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(jobDir, "spec.json"), []byte(l.spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	_, hs = newTestServer(t, func(cfg *Config) { cfg.Dir = dir })
-	if got := results(hs, "j000001"); !bytes.Equal(got, want) {
-		t.Fatalf("stored spec with IntraParallel streamed %d bytes, want the %d of the spec without it", len(got), len(want))
+	for i, l := range legacy {
+		if got := results(hs, fmt.Sprintf("j%06d", i+1)); !bytes.Equal(got, want) {
+			t.Fatalf("stored spec with %s streamed %d bytes, want the %d of the spec without it", l.field, len(got), len(want))
+		}
 	}
 }
